@@ -1,5 +1,5 @@
 """Retrieval kernel throughput: the array-native BM25/HNSW/hybrid kernel
-vs. the legacy pure-Python kernel (``--legacy`` classes).
+vs. the legacy pure-Python kernel (the ``oracles/`` classes).
 
 The claim under test (ROADMAP's "as fast as the hardware allows" applied
 to the per-turn retrieval cost every Conductor session pays):
@@ -12,8 +12,9 @@ to the per-turn retrieval cost every Conductor session pays):
    neighbor evaluation, per-thread visited tags, CSR links after
    ``compile()``) beats :class:`LegacyHNSWIndex` by >= 3x on batch
    search.
-3. Frozen-``HybridIndex`` fusion over int ids beats the legacy hybrid by
-   >= 3x on ``search_batch``.
+3. Frozen-``HybridIndex`` fusion over int ids beats
+   :class:`LegacyHybridIndex` (dict-over-doc_id fusion) by >= 3x on
+   ``search_batch``.
 4. Building the kernel index costs no more than 1.5x the legacy build
    (in practice the HNSW half makes it *faster*).
 
@@ -37,9 +38,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.ann import HNSWIndex, LegacyHNSWIndex
+from oracles import LegacyBM25Index, LegacyHNSWIndex, LegacyHybridIndex
+from repro.ann import HNSWIndex
 from repro.retriever import HybridIndex
-from repro.text import BM25Index, LegacyBM25Index
+from repro.text import BM25Index
 
 #: Workload scales: paper-adjacent (default) and CI smoke.  The BM25
 #: corpus must be >= 50k docs at full scale (the acceptance floor).
@@ -213,7 +215,7 @@ def bench_hybrid(cfg: dict, reps: int) -> dict:
     queries = synth_queries(docs, cfg["hybrid_queries"], seed=37)
     k = max(cfg["k"] // 2, 3)
 
-    legacy = HybridIndex(dim=64, legacy=True)
+    legacy = LegacyHybridIndex(dim=64)
     legacy_build = timed(lambda: (legacy.add_batch(docs), legacy.freeze()))
     kernel = HybridIndex(dim=64)
     kernel_build = timed(lambda: (kernel.add_batch(docs), kernel.freeze()))

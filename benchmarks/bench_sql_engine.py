@@ -5,8 +5,9 @@ serving layer's dominant per-turn cost — the SQL engine):
 
 1. The planned, columnar engine (:mod:`repro.relational.plan` +
    :mod:`repro.relational.vectorized`) beats the row-at-a-time
-   tree-walking interpreter (``RowExecutor``) by ≥ 3x on the group-by
-   and equi-join workloads at 100k rows (scan-filter reported too).
+   tree-walking interpreter (``RowExecutor``, kept in ``oracles/``) by
+   ≥ 3x on the group-by and equi-join workloads at 100k rows
+   (scan-filter reported too).
 2. A warm plan-cache hit skips parse+bind+plan entirely — verified by
    the cache's hit/miss counters and by the warm-vs-cold dispatch time.
 
@@ -27,7 +28,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.relational import Database, RowExecutor, Table
+from oracles import RowExecutor
+from repro.relational import Database, Table
 from repro.relational.parser import parse
 
 #: Workload scales: paper-adjacent (default) and CI smoke.

@@ -10,7 +10,7 @@ plus a full sort.  It survives for two reasons:
   require the array-native kernel to reproduce this index's rankings
   exactly (scores within 1e-9);
 * **benchmark baseline** — ``benchmarks/bench_retrieval_kernel.py``
-  reports the kernel's speedup over this implementation (``--legacy``).
+  reports the kernel's speedup over this implementation.
 
 The only change from the original: query terms are iterated in sorted
 order, so per-document score sums accumulate in a deterministic order
@@ -23,8 +23,8 @@ import math
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-from .bm25 import BM25Hit
-from .tokenize import tokenize
+from repro.text.bm25 import BM25Hit
+from repro.text.tokenize import tokenize
 
 
 class LegacyBM25Index:

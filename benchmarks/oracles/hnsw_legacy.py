@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .brute import Neighbor
-from .metrics import quantize_distance, resolve_metric
+from repro.ann.brute import Neighbor
+from repro.ann.metrics import quantize_distance, resolve_metric
 
 
 class LegacyHNSWIndex:

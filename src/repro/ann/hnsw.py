@@ -7,9 +7,10 @@ the paper's *heuristic* neighbor selection (Algorithm 4) that preserves
 graph diversity.  This is the vector half of Pneuma-Retriever's hybrid
 index.
 
-The kernel differs from :class:`~repro.ann.hnsw_legacy.LegacyHNSWIndex`
-only in data layout, never in a decision (the equivalence battery holds
-it to identical rankings under the same seed):
+The kernel differs from the scalar-at-a-time HNSW it replaced (now
+``benchmarks/oracles/hnsw_legacy.py``, the benchmark baseline) only in
+data layout, never in a decision (the equivalence battery holds it to
+identical rankings under the same seed):
 
 * vectors live in one contiguous float64 matrix grown by doubling; for
   cosine the rows are pre-normalized so distance is ``1 - dot``;
@@ -117,6 +118,10 @@ class HNSWIndex:
     def node_items(self):
         """Live ``(key, node)`` pairs (the hybrid index fuses over nodes)."""
         return self._positions.items()
+
+    def node_of(self, key: str) -> int:
+        """The graph node ``key`` is stored at."""
+        return self._positions[key]
 
     def _prepare(self, vector: np.ndarray) -> np.ndarray:
         """Validate and (for cosine) normalize one vector."""

@@ -76,6 +76,23 @@ def _round(x: Any, digits: int = 0) -> Any:
     return int(result) if digits <= 0 and isinstance(x, int) else result
 
 
+def sql_mod(x: Any, y: Any) -> Any:
+    """SQL remainder (``%`` and ``MOD``): the result takes the sign of the
+    dividend, so ``-3 % 2 = -1`` and ``7 % -2 = 1`` (standard SQL and
+    sqlite3), not Python's floored ``%``.
+
+    Dialect difference: sqlite3 truncates float operands of ``%`` to
+    integers first; we keep them and use ``math.fmod`` (``5.5 % 2`` is
+    1.5 here, 1.0 in sqlite3).
+    """
+    if y == 0:
+        raise ExecutionError("modulo by zero")
+    if isinstance(x, float) or isinstance(y, float):
+        return math.fmod(x, y)
+    remainder = abs(x) % abs(y)
+    return -remainder if x < 0 else remainder
+
+
 def _safe_sqrt(x: Any) -> float:
     if x < 0:
         raise ExecutionError(f"SQRT of negative value {x}")
@@ -100,7 +117,7 @@ _register("exp", math.exp, 1)
 _register("power", lambda x, y: float(x) ** y, 2)
 _register("pow", lambda x, y: float(x) ** y, 2)
 _register("sign", lambda x: (x > 0) - (x < 0), 1)
-_register("mod", lambda x, y: math.fmod(x, y) if isinstance(x, float) or isinstance(y, float) else x % y, 2)
+_register("mod", sql_mod, 2)
 _register("pi", lambda: math.pi, 0)
 _register_variadic("least", lambda *xs: min(xs), 1)
 _register_variadic("greatest", lambda *xs: max(xs), 1)

@@ -15,11 +15,12 @@ sessions.  :class:`PlanCache` is the LRU that
 ``(normalized SQL text, catalog version)`` — a warm hit skips
 parse+bind+plan entirely.
 
-Semantics are the row engine's, verbatim: the planner reuses
-``RowExecutor``'s binding, star-expansion, GROUP BY/ORDER BY resolution,
-and equi-join splitting helpers, and delegates per-group expression
-evaluation (HAVING and grouped projections — a per-*group*, not per-row,
-cost) to ``RowExecutor._eval_group_expr``.
+Binding, star expansion, GROUP BY/ORDER BY resolution, equi-join
+splitting and per-group expression evaluation (HAVING and grouped
+projections — a per-*group*, not per-row, cost) are the shared helpers
+in :mod:`repro.relational.executor`.  The tuple-at-a-time interpreter in
+``benchmarks/oracles/row_executor.py`` is the semantic oracle the
+equivalence battery holds this engine to.
 """
 
 from __future__ import annotations
@@ -32,11 +33,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from . import ast
 from .errors import BindError, ExecutionError
 from .executor import (
-    RowExecutor,
     _Binding,
     _collect_aggregates,
     _contains_aggregate,
     _to_bool,
+    eval_group_expr,
+    expand_items,
+    resolve_group_exprs,
+    resolve_output_ref,
+    split_equi_condition,
 )
 from .aggregates import lookup_aggregate
 from .table import Column, Schema, Table
@@ -374,8 +379,8 @@ class AggregateNode(PlanNode):
 
     The O(rows) work — key hashing and aggregate accumulation — is
     vectorized; the O(groups) work (HAVING, grouped projection, ORDER BY
-    keys) reuses ``RowExecutor._eval_group_expr`` so restrictions like
-    "column must appear in GROUP BY" behave identically.
+    keys) runs :func:`eval_group_expr` once per group, which also enforces
+    "column must appear in GROUP BY".
     """
 
     __slots__ = (
@@ -387,7 +392,6 @@ class AggregateNode(PlanNode):
         "order_items",
         "group_key_map",
         "agg_key_map",
-        "binding",
     )
 
     def __init__(
@@ -400,7 +404,6 @@ class AggregateNode(PlanNode):
         order_items: List[ast.OrderItem],
         group_key_map: Dict[Tuple, int],
         agg_key_map: Dict[Tuple, int],
-        binding: _Binding,
     ):
         self.input = input
         self.key_fns = key_fns
@@ -410,7 +413,6 @@ class AggregateNode(PlanNode):
         self.order_items = order_items
         self.group_key_map = group_key_map
         self.agg_key_map = agg_key_map
-        self.binding = binding
 
     def execute(self, ctx: ExecContext) -> Chunk:
         chunk = self.input.execute(ctx)
@@ -428,19 +430,8 @@ class AggregateNode(PlanNode):
                 accumulate_aggregate(agg, arg_cols, is_star, distinct, gids, ngroups, chunk.n)
             )
 
-        evaluator = RowExecutor(ctx.catalog)
-
         def eval_in_group(expr: ast.Expr, key: Tuple, agg_results: List[Any]) -> Any:
-            return evaluator._eval_group_expr(
-                expr,
-                key,
-                agg_results,
-                self.group_key_map,
-                self.agg_key_map,
-                self.binding,
-                {},
-                None,
-            )
+            return eval_group_expr(expr, key, agg_results, self.group_key_map, self.agg_key_map)
 
         out_rows: List[Tuple] = []
         order_keys: List[Tuple] = []
@@ -582,7 +573,6 @@ class Planner:
 
     def __init__(self, catalog, env_tables: Optional[Dict[str, Table]] = None):
         self.catalog = catalog
-        self._row = RowExecutor(catalog)
         self._cte_ids = itertools.count(1)
         self.env: Dict[str, Tuple] = {}
         if env_tables:
@@ -713,9 +703,7 @@ class Planner:
                 left_keys.append(_Binding(left_binding.entries).resolve(col))
                 right_keys.append(_Binding(right_binding.entries).resolve(col))
         elif condition is not None:
-            pairs, residual_expr = self._row._split_equi_condition(
-                condition, left_binding, right_binding
-            )
+            pairs, residual_expr = split_equi_condition(condition, left_binding, right_binding)
             left_keys = [p[0] for p in pairs]
             right_keys = [p[1] for p in pairs]
             if pairs:
@@ -754,7 +742,7 @@ class Planner:
         node: PlanNode,
         subplan: Callable[[ast.Select], LazySubplan],
     ) -> Tuple[PlanNode, List[str]]:
-        expanded = self._row._expand_items(select.items, binding)
+        expanded = expand_items(select.items, binding)
         names = [name for _, name in expanded]
         out_fns = [compile_vector(expr, binding, subplan) for expr, _ in expanded]
 
@@ -835,11 +823,11 @@ class Planner:
         node: PlanNode,
         subplan: Callable[[ast.Select], LazySubplan],
     ) -> Tuple[PlanNode, List[str]]:
-        group_exprs = self._row._resolve_group_exprs(select)
+        group_exprs = resolve_group_exprs(select)
         key_fns = [compile_vector(e, binding, subplan) for e in group_exprs]
 
         agg_calls: Dict[Tuple, ast.FunctionCall] = {}
-        expanded = self._row._expand_items(select.items, binding)
+        expanded = expand_items(select.items, binding)
         names = [name for _, name in expanded]
         for expr, _ in expanded:
             _collect_aggregates(expr, agg_calls)
@@ -850,7 +838,7 @@ class Planner:
         # pre-sort fixes tie order under the (stable) outer output sort.
         order_items = [
             ast.OrderItem(
-                self._row._resolve_output_ref(item.expr, select),
+                resolve_output_ref(item.expr, select),
                 item.ascending,
                 item.nulls_last,
             )
@@ -888,7 +876,6 @@ class Planner:
             order_items,
             group_key_map,
             agg_key_map,
-            binding,
         )
         return agg_node, names
 
@@ -944,8 +931,8 @@ def run_plan(plan: SelectPlan, catalog, env: Optional[Dict[str, Table]] = None) 
 
 
 def execute_statement_planned(catalog, stmt: ast.Statement) -> Table:
-    """Statement dispatch for the planned engine (same surface as the
-    row engine's ``execute_statement``)."""
+    """Execute one parsed statement: SELECT, CREATE TABLE [AS], INSERT
+    ... VALUES or DROP TABLE."""
     if isinstance(stmt, ast.Select):
         return run_plan(plan_select(catalog, stmt), catalog)
     if isinstance(stmt, ast.CreateTableAs):
@@ -958,12 +945,39 @@ def execute_statement_planned(catalog, stmt: ast.Statement) -> Table:
         catalog.put_table(table, replace=stmt.or_replace)
         return table
     if isinstance(stmt, ast.InsertValues):
-        # Row-at-a-time is the right shape for VALUES lists; reuse it.
-        return RowExecutor(catalog)._execute_insert(stmt)
+        return _execute_insert(catalog, stmt)
     if isinstance(stmt, ast.DropTable):
         catalog.drop_table(stmt.name, if_exists=stmt.if_exists)
         return Table.empty(stmt.name, [])
     raise ExecutionError(f"unsupported statement: {type(stmt).__name__}")
+
+
+def _execute_insert(catalog, stmt: ast.InsertValues) -> Table:
+    """Append VALUES rows; columns the statement does not name are NULL.
+
+    Each value expression is compiled against an empty binding and
+    evaluated over the one-row, zero-column unit chunk — the shape of a
+    FROM-less SELECT — so subqueries in VALUES work as they do there."""
+    table = catalog.resolve_table(stmt.table)
+    names = stmt.columns or table.column_names()
+    indices = [table.schema.index_of(n) for n in names]
+    no_columns = _Binding([])
+    subplan = Planner(catalog)._subplanner({})
+    ctx = ExecContext(catalog)
+    unit = Chunk([], 1)
+    new_rows = list(table.rows)
+    for row_exprs in stmt.rows:
+        if len(row_exprs) != len(indices):
+            raise ExecutionError(
+                f"INSERT has {len(row_exprs)} values for {len(indices)} columns"
+            )
+        row: List[Any] = [None] * len(table.schema)
+        for idx, expr in zip(indices, row_exprs):
+            row[idx] = compile_vector(expr, no_columns, subplan)(unit, ctx)[0]
+        new_rows.append(tuple(row))
+    updated = Table(table.name, table.schema, new_rows)
+    catalog.put_table(updated, replace=True)
+    return updated
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,12 @@ one expression over every row of a :class:`Chunk` at once, so the
 per-row interpreter overhead (closure trees, three-valued-logic dispatch,
 tuple indexing) is paid once per column instead of once per value.
 
-Semantics mirror :class:`repro.relational.executor.RowExecutor` exactly:
+Scalar semantics are the ones in :mod:`repro.relational.executor`:
 three-valued logic, NULL handling in joins and aggregation, cross-type
 comparison via textual rendering, and lazy CASE branches (implemented by
-masked evaluation over shrinking row subsets).
+masked evaluation over shrinking row subsets).  The tuple-at-a-time
+interpreter in ``benchmarks/oracles/row_executor.py`` is the oracle the
+equivalence battery holds these closures to.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .executor import (
     _like_regex,
     _to_bool,
 )
-from .functions import lookup_scalar
+from .functions import lookup_scalar, sql_mod
 from .types import (
     DataType,
     cast_value,
@@ -88,7 +90,7 @@ class Chunk:
 
     ``cols`` is a list of value lists or a :class:`LazyColumns`.
     ``types`` is optional explicit column typing (set-operation results
-    carry the legacy ``common_type`` schema); ``None`` means "infer from
+    carry the ``common_type`` schema); ``None`` means "infer from
     values", matching how projections type their output.
     """
 
@@ -235,7 +237,7 @@ def compare_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any]:
 
 
 def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any]:
-    """Vectorized arithmetic / concat with the legacy slow path as fallback.
+    """Vectorized arithmetic / concat with the scalar operator as fallback.
 
     The fast path covers exact int/float operands; everything else (dates,
     booleans, strings, type errors) routes through ``_apply_binary`` so the
@@ -280,9 +282,7 @@ def arithmetic_columns(op: str, lefts: List[Any], rights: List[Any]) -> List[Any
     elif op == "%":
         for a, b in zip(lefts, rights):
             if type(a) in _NUM and type(b) in _NUM:
-                if b == 0:
-                    raise ExecutionError("modulo by zero")
-                append(a % b)
+                append(sql_mod(a, b))
             elif a is None or b is None:
                 append(None)
             else:
@@ -306,7 +306,7 @@ def order_indices(
 ) -> List[int]:
     """Stable argsort of per-row key tuples under ORDER BY semantics.
 
-    Same key construction as ``RowExecutor._sort_with_keys``: NULLs rank
+    Same key construction as the row oracle's sort: NULLs rank
     first/last regardless of direction, DESC inverts via ``_InvertedKey``.
     """
     directions = [(item.ascending, 1 if item.nulls_last else -1) for item in order_by]
@@ -808,9 +808,11 @@ def _compile_in_subquery(expr: ast.InSubquery, binding: _Binding, subplan) -> Ve
         members, saw_null = ctx.subq[key]
         out: List[Any] = []
         append = out.append
+        # x IN (<empty>) is FALSE even for NULL x (NOT IN: TRUE).
+        null_result = None if members or saw_null else negated
         for value in operand(chunk, ctx):
             if value is None:
-                append(None)
+                append(null_result)
             elif sort_key(value) in members:
                 append(not negated)
             elif saw_null:

@@ -8,16 +8,16 @@ The index is built for the serving layer's sharing model: mutation
 :meth:`freeze` makes the index immutable-after-build so any number of
 sessions can search it concurrently without coordination.
 
-:meth:`freeze` is a real compile step, not just a seal: both halves run
-their kernel compilation (impact-sorted BM25 postings with max-score
-bounds, compacted HNSW matrix with CSR links) and the fusion layer
-interns both halves' ids into one hybrid int space, so RRF accumulates
-over ints and maps back to doc_id strings only for the final top-k.
+Every document gets a hybrid int id on its first add, and each half's
+slot/node maps to it from then on, so RRF accumulates over ints and maps
+back to doc_id strings only for the final top-k — frozen or not, one
+fusion routine serves every search.  :meth:`freeze` is the compile step:
+both halves run their kernel compilation (impact-sorted BM25 postings
+with max-score bounds, compacted HNSW matrix with CSR links).
 
-``legacy=True`` builds the index over the pre-kernel halves
-(:class:`LegacyBM25Index` / :class:`LegacyHNSWIndex`) with the original
-dict-based fusion — the benchmark baseline and the ranking oracle the
-array kernel is tested against.
+The pre-kernel halves and their dict-over-doc_id fusion live in
+``benchmarks/oracles/`` — the benchmark baseline and the ranking oracle
+this index is tested against.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ann.hnsw import HNSWIndex
-from ..ann.hnsw_legacy import LegacyHNSWIndex
 from ..obs import trace as obs
 from ..text.bm25 import BM25Index
-from ..text.bm25_legacy import LegacyBM25Index
 from ..text.embedding import HashingEmbedder
 
 
@@ -60,14 +58,12 @@ class HybridIndex:
         seed: int = 13,
         embedder=None,
         fusion_pool: Optional[int] = None,
-        legacy: bool = False,
     ):
         if fusion_pool is not None and fusion_pool < 1:
             raise ValueError(f"fusion_pool must be >= 1, got {fusion_pool}")
         self.embedder = embedder if embedder is not None else HashingEmbedder(dim=dim)
-        hnsw_cls = LegacyHNSWIndex if legacy else HNSWIndex
-        self.bm25 = LegacyBM25Index() if legacy else BM25Index()
-        self.vectors = hnsw_cls(
+        self.bm25 = BM25Index()
+        self.vectors = HNSWIndex(
             dim=self.embedder.dim, metric="cosine", m=12, ef_construction=64, seed=seed
         )
         self.rrf_k = rrf_k
@@ -78,14 +74,16 @@ class HybridIndex:
         #: default ``max(k * 3, 10)``.  Deeper pools let lower-ranked
         #: agreement between the halves surface at higher fusion cost.
         self.fusion_pool = fusion_pool
-        self.legacy = legacy
         self._texts: Dict[str, str] = {}
         self._write_lock = threading.Lock()
         self._frozen = False
-        # Built by freeze() on the kernel path: hybrid int id space.
+        # The hybrid int id space, grown by every first add: hybrid id ->
+        # doc_id, doc_id -> hybrid id, and each half's slot/node -> hybrid
+        # id (lists while building; int64 arrays once hydrated).
         self._doc_list: List[str] = []
-        self._bm25_map: Optional[np.ndarray] = None  # bm25 slot -> hybrid id
-        self._vector_map: Optional[np.ndarray] = None  # hnsw node -> hybrid id
+        self._hybrid_of: Dict[str, int] = {}
+        self._bm25_map: Sequence[int] = []
+        self._vector_map: Sequence[int] = []
 
     # ------------------------------------------------------------------
     # Mutation
@@ -109,12 +107,17 @@ class HybridIndex:
 
     def _add_one(self, doc_id: str, text: str, vector) -> None:
         self.bm25.add(doc_id, text)
-        if doc_id in self.vectors:
+        hybrid = self._hybrid_of.get(doc_id)
+        if hybrid is None:
+            hybrid = self._hybrid_of[doc_id] = len(self._doc_list)
+            self._doc_list.append(doc_id)
+            self.vectors.add(doc_id, vector)
+        else:
             # Re-add with changed content: swap the dense vector in place
             # so both halves rank by the current text.
             self.vectors.update(doc_id, vector)
-        else:
-            self.vectors.add(doc_id, vector)
+        _assign(self._bm25_map, self.bm25.slot_of(doc_id), hybrid)
+        _assign(self._vector_map, self.vectors.node_of(doc_id), hybrid)
         self._texts[doc_id] = text
 
     def _check_mutable(self) -> None:
@@ -128,28 +131,16 @@ class HybridIndex:
         """Compile and seal the index: all further mutation raises
         :class:`FrozenIndexError`.
 
-        On the kernel path this compiles both halves (impact-sorted BM25
-        postings, compacted HNSW matrix + CSR links) and interns every
-        doc into the hybrid int id space that fusion accumulates over.
+        Compiles both halves (impact-sorted BM25 postings, compacted HNSW
+        matrix + CSR links); the hybrid id maps are already live.
         Searches on a frozen index are lock-free — the structure can no
         longer change, so concurrent readers need no coordination.
         """
         with self._write_lock:
-            self._frozen = True
-            if not self.legacy and self._bm25_map is None:
+            if not self._frozen:
+                self._frozen = True
                 self.bm25.compile()
                 self.vectors.compile()
-                docs = list(self._texts)
-                hybrid_of = {doc_id: i for i, doc_id in enumerate(docs)}
-                bm25_map = np.full(self.bm25.slot_count, -1, dtype=np.int64)
-                for doc_id, slot in self.bm25.slot_items():
-                    bm25_map[slot] = hybrid_of[doc_id]
-                vector_map = np.full(len(self.vectors), -1, dtype=np.int64)
-                for doc_id, node in self.vectors.node_items():
-                    vector_map[node] = hybrid_of[doc_id]
-                self._doc_list = docs
-                self._bm25_map = bm25_map
-                self._vector_map = vector_map
         return self
 
     @property
@@ -163,9 +154,9 @@ class HybridIndex:
         """The fusion layer's file-ready view: the hybrid id space, both
         halves' slot→hybrid maps, and every document's indexed text (the
         rebuild source should a half's segment be quarantined).  Requires
-        a frozen, compiled (non-legacy) index."""
-        if self.legacy or self._bm25_map is None:
-            raise RuntimeError("export_fusion requires a frozen, compiled kernel index")
+        a frozen index."""
+        if not self._frozen:
+            raise RuntimeError("export_fusion requires a frozen index")
         return {
             "meta": {
                 "rrf_k": self.rrf_k,
@@ -177,8 +168,8 @@ class HybridIndex:
             },
             "doc_list": list(self._doc_list),
             "texts": [self._texts[doc_id] for doc_id in self._doc_list],
-            "bm25_map": self._bm25_map,
-            "vector_map": self._vector_map,
+            "bm25_map": np.asarray(self._bm25_map, dtype=np.int64),
+            "vector_map": np.asarray(self._vector_map, dtype=np.int64),
         }
 
     @classmethod
@@ -210,6 +201,7 @@ class HybridIndex:
         index.vectors = vectors
         index._texts = dict(zip(doc_list, texts))
         index._doc_list = list(doc_list)
+        index._hybrid_of = {doc_id: i for i, doc_id in enumerate(index._doc_list)}
         index._bm25_map = np.asarray(bm25_map, dtype=np.int64)
         index._vector_map = np.asarray(vector_map, dtype=np.int64)
         index._frozen = True
@@ -230,8 +222,8 @@ class HybridIndex:
     def kernel_stats(self) -> Dict[str, object]:
         """Which kernel serves this index, and how fusion is tuned."""
         return {
-            "kernel": "legacy" if self.legacy else "array",
-            "compiled": self._bm25_map is not None,
+            "kernel": "array",
+            "compiled": self._frozen,
             "frozen": self._frozen,
             "fusion_pool": self.fusion_pool,
             "docs": len(self._texts),
@@ -267,16 +259,8 @@ class HybridIndex:
         queries = list(queries)
         if not queries:
             return []
-        if self._bm25_map is not None:
-            return self._search_batch_ids(queries, k, mode)
-        return self._search_batch_keys(queries, k, mode)
-
-    def _search_batch_ids(
-        self, queries: List[str], k: int, mode: str
-    ) -> List[List[HybridHit]]:
-        """Compiled path: both halves return rank-ordered int ids, RRF
-        accumulates over hybrid ints, and doc_id strings materialize only
-        for the final top-k."""
+        # Both halves return rank-ordered int ids, RRF accumulates over
+        # hybrid ints, and doc_id strings materialize only for the top-k.
         pool = self._pool(k)
         n = len(queries)
         empty = np.empty(0, dtype=np.int64)
@@ -323,47 +307,10 @@ class HybridIndex:
                 )
         return results
 
-    def _search_batch_keys(
-        self, queries: List[str], k: int, mode: str
-    ) -> List[List[HybridHit]]:
-        """Uncompiled/legacy path: the original dict-over-doc_id fusion."""
-        pool = self._pool(k)
-        batch_bm25: List[Dict[str, int]] = [{} for _ in queries]
-        batch_vector: List[Dict[str, int]] = [{} for _ in queries]
-        if mode in ("hybrid", "bm25"):
-            with obs.span("retrieval.bm25", queries=len(queries), pool=pool):
-                for ranks, hits in zip(batch_bm25, self.bm25.search_batch(queries, k=pool)):
-                    for rank, hit in enumerate(hits):
-                        ranks[hit.doc_id] = rank
-        if mode in ("hybrid", "vector"):
-            with obs.span("retrieval.vector", queries=len(queries), pool=pool):
-                vectors = self.embedder.embed_batch(queries)
-                for ranks, hits in zip(batch_vector, self.vectors.search_batch(vectors, k=pool)):
-                    for rank, hit in enumerate(hits):
-                        ranks[hit.key] = rank
 
-        results: List[List[HybridHit]] = []
-        with obs.span("retrieval.fusion", queries=len(queries)):
-            for bm25_ranks, vector_ranks in zip(batch_bm25, batch_vector):
-                fused: Dict[str, float] = {}
-                for doc_id, rank in bm25_ranks.items():
-                    fused[doc_id] = (
-                        fused.get(doc_id, 0.0) + self.bm25_weight / (self.rrf_k + rank + 1)
-                    )
-                for doc_id, rank in vector_ranks.items():
-                    fused[doc_id] = (
-                        fused.get(doc_id, 0.0) + self.vector_weight / (self.rrf_k + rank + 1)
-                    )
-                ranked = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))
-                results.append(
-                    [
-                        HybridHit(
-                            doc_id,
-                            score,
-                            bm25_rank=bm25_ranks.get(doc_id),
-                            vector_rank=vector_ranks.get(doc_id),
-                        )
-                        for doc_id, score in ranked[:k]
-                    ]
-                )
-        return results
+def _assign(mapping: List[int], position: int, hybrid: int) -> None:
+    """Point a half's slot/node at its hybrid id, growing the map with
+    -1 (no document) as needed."""
+    if position >= len(mapping):
+        mapping.extend([-1] * (position + 1 - len(mapping)))
+    mapping[position] = hybrid

@@ -15,7 +15,8 @@ stay bit-compatible.
 Beyond the happy-path counters, every failure mode the resilience layer
 handles is observable: ``turns_failed`` (exceptions escaped the turn),
 ``turns_shed`` (admission control refused or a queued turn's deadline
-expired), ``turns_degraded`` (served, but on a degraded path),
+expired), ``turns_rejected`` (bad input refused before admission — never
+counted as a failure), ``turns_degraded`` (served, but on a degraded path),
 ``retries``, ``degraded_retrievals``, ``reindex_swaps``, and per-edge
 circuit-breaker transition counts (a labeled counter in the registry,
 re-keyed ``"llm:closed->open"`` in the snapshot).
@@ -47,6 +48,9 @@ class ServiceMetrics:
         )
         self._turns_shed = r.counter(
             "pneuma_turns_shed", "Turns refused by admission control or expired while queued."
+        )
+        self._turns_rejected = r.counter(
+            "pneuma_turns_rejected", "Turns refused as bad input before admission."
         )
         self._turns_degraded = r.counter(
             "pneuma_turns_degraded", "Turns served on a degraded path."
@@ -88,6 +92,9 @@ class ServiceMetrics:
     def record_turn_shed(self) -> None:
         self._turns_shed.inc()
 
+    def record_turn_rejected(self) -> None:
+        self._turns_rejected.inc()
+
     def record_turn_degraded(self) -> None:
         self._turns_degraded.inc()
 
@@ -121,6 +128,7 @@ class ServiceMetrics:
             "batch_queries": int(self._batch_queries.value),
             "turns_failed": int(self._turns_failed.value),
             "turns_shed": int(self._turns_shed.value),
+            "turns_rejected": int(self._turns_rejected.value),
             "turns_degraded": int(self._turns_degraded.value),
             "retries": int(self._retries.value),
             "degraded_retrievals": int(self._degraded_retrievals.value),

@@ -426,8 +426,15 @@ class PneumaService:
         ``deadline`` (seconds; defaults to the service-wide setting) passes
         before the turn finishes — or before it even starts — the caller
         gets a :class:`DegradedResponse` instead of waiting forever.
+
+        An empty or whitespace-only message is bad input: it raises
+        ``ValueError`` before admission and counts as ``turns_rejected``,
+        never as a failed or shed turn.
         """
         managed = self._resolve(session_id)
+        if not message.strip():
+            self.metrics.record_turn_rejected()
+            raise ValueError("user message must be non-empty")
         deadline = deadline if deadline is not None else self._turn_deadline
         with self._admission_lock:
             if self._pending_turns >= self._max_pending:

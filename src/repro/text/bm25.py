@@ -3,8 +3,9 @@
 This is the lexical half of Pneuma-Retriever's hybrid index and the whole
 of the FTS baseline.  Scores follow Robertson & Zaragoza (2009) with the
 usual ``k1``/``b`` parameterization and non-negative IDF — numerically
-identical to :class:`~repro.text.bm25_legacy.LegacyBM25Index`, which the
-equivalence battery holds this kernel to.
+identical to the dict-at-a-time index it replaced, which now lives in
+``benchmarks/oracles/bm25_legacy.py`` as the benchmark baseline and the
+oracle the equivalence battery holds this kernel to.
 
 Layout (the PR-2 plan/compile approach applied to retrieval):
 
@@ -197,6 +198,10 @@ class BM25Index:
     def slot_items(self) -> Iterable[Tuple[str, int]]:
         """Live ``(doc_id, slot)`` pairs."""
         return self._doc_index.items()
+
+    def slot_of(self, doc_id: str) -> int:
+        """The int slot ``doc_id`` is interned to."""
+        return self._doc_index[doc_id]
 
     # ------------------------------------------------------------------
     # Compilation
@@ -501,7 +506,7 @@ class BM25Index:
                 )
         # Exact-score pass in sorted-term order (``entries`` arrives
         # sorted from _ranked_slots): same summation order per document
-        # as LegacyBM25Index.search and _ranked_plain, bit for bit.
+        # as _ranked_plain and the legacy oracle's search, bit for bit.
         scores[candidates] = 0.0
         for entry in entries:
             seen = tags[entry.slots] == epoch

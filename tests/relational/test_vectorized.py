@@ -1,6 +1,7 @@
 """The planned/vectorized engine must agree with the row engine exactly.
 
-``RowExecutor`` is the semantic oracle: every query here runs on both
+``RowExecutor`` (``benchmarks/oracles/row_executor.py``) is the semantic
+oracle: every query here runs on both
 engines and the results (rows, column names, inferred types) must match.
 A second battery checks behaviors that vectorization could plausibly
 break: masked CASE branches, lazy subquery binding, and late-materialized
@@ -11,9 +12,11 @@ import datetime
 
 import pytest
 
-from repro.relational import Database, RowExecutor, Table
+from oracles import RowExecutor
+from repro.relational import Database, Table
 from repro.relational.errors import BindError, ExecutionError
 from repro.relational.parser import parse
+from repro.relational.plan import execute_statement_planned, plan_select, run_plan
 
 
 @pytest.fixture
@@ -91,6 +94,8 @@ EQUIVALENCE_QUERIES = [
     "SELECT id, qty FROM orders ORDER BY qty * -1 NULLS LAST",
     "SELECT id FROM orders ORDER BY 1 DESC OFFSET 2",
     "SELECT day + 30 AS later FROM orders WHERE day IS NOT NULL ORDER BY later",
+    "SELECT id FROM orders WHERE customer NOT IN "
+    "(SELECT name FROM customers WHERE tier = 'platinum')",
 ]
 
 
@@ -174,19 +179,17 @@ class TestJoinShapes:
         assert result.rows == [(4, None)]
 
 
-class TestExecutorFacadeApi:
-    """The Executor facade keeps the legacy execute_select(env) surface."""
+class TestPlannedEntryPoints:
+    """plan_select/run_plan bind env tables; statement dispatch agrees
+    with Database.execute."""
 
-    def test_execute_select_with_env_tables(self, db):
-        from repro.relational.executor import Executor
-
+    def test_plan_select_with_env_tables(self, db):
         env = {"bound": Table.from_columns("bound", {"z": [7, 8]})}
         select = parse("SELECT SUM(z) FROM bound")
-        result = Executor(db).execute_select(select, env)
+        result = run_plan(plan_select(db, select, env), db, env)
         assert result.single_value() == 15
 
-    def test_execute_statement_matches_database_execute(self, db):
-        from repro.relational.executor import Executor
-
+    def test_dispatch_matches_database_execute(self, db):
         stmt = parse("SELECT COUNT(*) FROM orders")
-        assert Executor(db).execute_statement(stmt).single_value() == 6
+        assert execute_statement_planned(db, stmt).single_value() == 6
+        assert db.execute("SELECT COUNT(*) FROM orders").single_value() == 6

@@ -2,8 +2,9 @@
 reproduce the legacy kernel's rankings identically (scores within 1e-9)
 across corpus sizes, seeds, metrics, and fusion modes.
 
-The legacy classes are the semantic oracles the PR-2-style kernel swap is
-held to — same contract as ``RowExecutor`` for the SQL engine.
+The legacy classes (``benchmarks/oracles/``) are the semantic oracles the
+kernel swap is held to — same contract as ``RowExecutor`` for the SQL
+engine.
 """
 
 import random
@@ -11,9 +12,10 @@ import random
 import numpy as np
 import pytest
 
-from repro.ann import HNSWIndex, LegacyHNSWIndex
+from oracles import LegacyBM25Index, LegacyHNSWIndex, LegacyHybridIndex
+from repro.ann import HNSWIndex
 from repro.retriever import HybridIndex
-from repro.text import BM25Index, LegacyBM25Index
+from repro.text import BM25Index
 
 TOL = 1e-9
 
@@ -170,12 +172,11 @@ class TestHybridEquivalence:
     def test_fusion_matches_across_modes(self, n_docs, vocab, seed, mode):
         docs = corpus(n_docs, vocab, seed)
         qs = queries_for(docs, 20, seed)
-        legacy = HybridIndex(dim=48, legacy=True)
+        legacy = LegacyHybridIndex(dim=48)
         legacy.add_batch(docs)
-        legacy.freeze()
         kernel = HybridIndex(dim=48)
         kernel.add_batch(docs)
-        # Unfrozen kernel: dict-based fusion over the array halves.
+        # Unfrozen kernel: lazy halves, int-id fusion.
         for legacy_hits, kernel_hits in zip(
             legacy.search_batch(qs, k=5, mode=mode), kernel.search_batch(qs, k=5, mode=mode)
         ):
@@ -194,9 +195,8 @@ class TestHybridEquivalence:
     def test_fusion_pool_respected_by_both_kernels(self):
         docs = corpus(300, 80, 6)
         qs = queries_for(docs, 15, 6)
-        legacy = HybridIndex(dim=48, legacy=True, fusion_pool=25)
+        legacy = LegacyHybridIndex(dim=48, fusion_pool=25)
         legacy.add_batch(docs)
-        legacy.freeze()
         kernel = HybridIndex(dim=48, fusion_pool=25)
         kernel.add_batch(docs)
         kernel.freeze()
@@ -209,7 +209,7 @@ class TestHybridEquivalence:
         """Re-adding changed content recycles BM25 slots and updates HNSW
         in place; the freeze-time id interning must still fuse right."""
         docs = corpus(120, 50, 8)
-        legacy = HybridIndex(dim=48, legacy=True)
+        legacy = LegacyHybridIndex(dim=48)
         kernel = HybridIndex(dim=48)
         for index in (legacy, kernel):
             index.add_batch(docs)
@@ -219,3 +219,36 @@ class TestHybridEquivalence:
             index.freeze()
         for query in queries_for(docs, 15, 8):
             assert_hits_equal(legacy.search(query, k=5), kernel.search(query, k=5), query)
+
+    def test_unfrozen_growth_with_readds_matches_after_every_add(self):
+        """Grow an unfrozen index one document at a time, the way the
+        Document Database does, re-adding some ids with new text; every
+        search in between must match the legacy hybrid exactly."""
+        docs = corpus(60, 40, 11)
+        qs = queries_for(docs, 6, 11)
+        rng = random.Random(11)
+        legacy = LegacyHybridIndex(dim=48)
+        kernel = HybridIndex(dim=48)
+        added = []
+        for step, (doc_id, text) in enumerate(docs):
+            if added and step % 4 == 0:
+                # Re-add an earlier id with changed content.
+                doc_id = rng.choice(added)
+                text = text + " t2x"
+            else:
+                added.append(doc_id)
+            legacy.add(doc_id, text)
+            kernel.add(doc_id, text)
+            assert not kernel.frozen
+            for mode in ("hybrid", "bm25", "vector"):
+                for legacy_hits, kernel_hits in zip(
+                    legacy.search_batch(qs, k=5, mode=mode),
+                    kernel.search_batch(qs, k=5, mode=mode),
+                ):
+                    context = f"step {step}:{mode}"
+                    assert [h.doc_id for h in legacy_hits] == [h.doc_id for h in kernel_hits]
+                    for lhit, khit in zip(legacy_hits, kernel_hits):
+                        assert lhit.score == khit.score, context
+                        assert lhit.bm25_rank == khit.bm25_rank, context
+                        assert lhit.vector_rank == khit.vector_rank, context
+        assert len(kernel) == len(added)

@@ -90,6 +90,56 @@ class TestAdmissionControl:
             service.shutdown()
 
 
+class TestBadInput:
+    def test_empty_turns_are_rejected_not_failed(self, lake):
+        """Every posted turn lands in exactly one bucket: served, failed,
+        shed, or rejected (bad input, refused before admission)."""
+        gate = threading.Event()
+        service = PneumaService(
+            lake,
+            max_workers=1,
+            llm_factory=lambda: GatedLLM(gate),
+            resilience=ResilienceConfig(max_pending_turns=2),
+        )
+        posted = 0
+        try:
+            sid = service.open_session()
+            futures = [service.post_turn(sid, QUESTION, wait=False) for _ in range(2)]
+            posted += 2
+            with pytest.raises(ServiceOverloaded):
+                posted += 1
+                service.post_turn(sid, QUESTION)
+            # A full queue does not matter: bad input is refused first.
+            for message in ("", "   \n\t"):
+                with pytest.raises(ValueError):
+                    posted += 1
+                    service.post_turn(sid, message)
+            gate.set()
+            for future in futures:
+                assert future.result(timeout=30).message
+            posted += 1
+            assert service.post_turn(sid, QUESTION).message
+            with pytest.raises(ValueError):
+                posted += 1
+                service.post_turn(sid, " ", wait=False)
+            stats = service.stats()
+            assert stats["turns_rejected"] == 3
+            assert stats["turns_failed"] == 0
+            assert stats["turns_shed"] == 1
+            assert stats["turns_served"] == 3
+            assert (
+                stats["turns_served"]
+                + stats["turns_failed"]
+                + stats["turns_shed"]
+                + stats["turns_rejected"]
+            ) == posted
+            assert stats["admission"]["pending_turns"] == 0
+            assert "pneuma_turns_rejected_total 3" in service.metrics_text()
+        finally:
+            gate.set()
+            service.shutdown()
+
+
 class TestDeadlines:
     def test_deadline_returns_degraded_response_with_pending(self, lake):
         gate = threading.Event()
